@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -15,11 +16,14 @@
 #include "core/context_discovery.h"
 #include "core/squid.h"
 #include "datagen/imdb_generator.h"
+#include "eval/sampler.h"
 #include "exec/executor.h"
+#include "exec/expression.h"
 #include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
 #include "storage/column_index.h"
+#include "workloads/imdb_queries.h"
 
 namespace squid {
 namespace {
@@ -263,6 +267,78 @@ void BM_ExecutorGroupByHaving(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecutorGroupByHaving);
+
+/// Selection over an αDB derived relation, the scan every abduced query
+/// runs per derived join: `value = '<string>' AND count >= 2` on the
+/// largest derived table with a string value column, through the compiled
+/// filter kernels (symbol compare + int64 compare, no Value per row).
+void BM_FilterRowsDerivedEq(benchmark::State& state) {
+  auto& f = MicroFixture::Get();
+  const Database& db = f.adb->database();
+  const Table* derived = nullptr;
+  for (const std::string& name : db.TableNames()) {
+    const Table* t = db.GetTable(name).value();
+    auto value = t->ColumnByName("value");
+    if (!value.ok() || value.value()->type() != ValueType::kString) continue;
+    if (!t->ColumnByName("count").ok() || t->num_rows() == 0) continue;
+    if (!derived || t->num_rows() > derived->num_rows()) derived = t;
+  }
+  if (!derived) {
+    state.SkipWithError("no derived relation with a string value column");
+    return;
+  }
+  const Column& value = *derived->ColumnByName("value").value();
+  const std::string constant(value.StringAt(derived->num_rows() / 2));
+  std::vector<BoundPredicate> preds;
+  for (const Predicate& p :
+       {Predicate::Compare({"d", "value"}, CompareOp::kEq, Value(constant)),
+        Predicate::Compare({"d", "count"}, CompareOp::kGe,
+                           Value(static_cast<int64_t>(2)))}) {
+    preds.push_back(BindPredicate(*derived, p).value());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FilterRows(*derived, preds));
+  }
+  state.SetItemsProcessed(
+      static_cast<int64_t>(state.iterations() * derived->num_rows()));
+  state.SetLabel(derived->name());
+}
+BENCHMARK(BM_FilterRowsDerivedEq);
+
+/// The answer path's query shape: an abduced αDB query joining several
+/// derived relations to the entity table. Discovers from examples of each
+/// IMDb benchmark intent and keeps the abduced query with the most FROM
+/// entries (ties: the first).
+void BM_ExecutorAdbQuery(benchmark::State& state) {
+  auto& f = MicroFixture::Get();
+  static const std::optional<Query> query = [&f] {
+    Squid squid(f.adb.get());
+    std::optional<Query> best;
+    for (const BenchmarkQuery& bq : ImdbBenchmarkQueries(f.data.manifest)) {
+      auto truth = GroundTruth(*f.data.db, bq);
+      if (!truth.ok()) continue;
+      Rng rng(5);
+      auto examples = SampleExamples(truth.value(), 8, &rng);
+      if (examples.size() < 2) continue;
+      auto abduced = squid.Discover(examples);
+      if (!abduced.ok()) continue;
+      const Query& q = abduced.value().adb_query;
+      if (!best || q.branches[0].from.size() > best->branches[0].from.size()) {
+        best = q;
+      }
+    }
+    return best;
+  }();
+  if (!query) {
+    state.SkipWithError("no abduced query");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExecuteQuery(f.adb->database(), *query));
+  }
+  state.SetLabel(std::to_string(query->branches[0].from.size()) + " relations");
+}
+BENCHMARK(BM_ExecutorAdbQuery);
 
 void BM_ContextDiscovery(benchmark::State& state) {
   auto& f = MicroFixture::Get();

@@ -2,7 +2,7 @@
 """Project-specific invariant lint: rules generic tools cannot express.
 
 Runs over src/ (and fuzz/) next to clang-tidy in the CI static-analysis job,
-and locally via `python3 scripts/check_invariants.py`. Three rules:
+and locally via `python3 scripts/check_invariants.py`. Four rules:
 
   raw-decode       Untrusted bytes are decoded only through the bounds-
                    checked readers (wire::WireReader, ExtentReader). Outside
@@ -26,6 +26,13 @@ and locally via `python3 scripts/check_invariants.py`. Three rules:
                    the wire codec may reference obs::kNumBuckets (the bucket-
                    space size) for bounds checks but must not re-derive
                    bucket boundaries.
+
+  exec-arena       No MemArena/ArenaAllocator/ArenaVector under src/exec/.
+                   The executor's join and group-by tables live for one
+                   query; an arena maps a 2 MiB block, takes its first-touch
+                   faults and unmaps it again, every query. Arenas are for
+                   long-lived structures (StringPool, InvertedColumnIndex);
+                   per-query tables are plain std::vector.
 
 Exit status: 0 = clean, 1 = findings (one line each:
 `path:line: [rule] message`). `--list-rules` prints rule ids. Tests:
@@ -81,6 +88,9 @@ HISTOGRAM_MATH_RE = re.compile(
     r"\bBucketIndex\s*\(|\bBucketLowerBound\s*\(|\bBucketUpperBound\s*\(|"
     r"\bkSubBuckets\b|\bkSubBucketBits\b")
 OBS_DIR = "src/obs/"
+
+EXEC_ARENA_RE = re.compile(r"\b(MemArena|ArenaAllocator|ArenaVector)\b")
+EXEC_DIR = "src/exec/"
 
 
 def lint_raw_decode(rel_path, lines):
@@ -165,7 +175,22 @@ def lint_histogram_math(rel_path, lines):
     return findings
 
 
-RULE_NAMES = ("raw-decode", "atomic-rationale", "histogram-math")
+def lint_exec_arena(rel_path, lines):
+    if not rel_path.startswith(EXEC_DIR):
+        return []
+    findings = []
+    for i, line in enumerate(lines, start=1):
+        code = line.split("//", 1)[0]
+        if EXEC_ARENA_RE.search(code):
+            findings.append(
+                (rel_path, i, "exec-arena",
+                 "per-query executor structures must not use arenas (each "
+                 "one maps and unmaps a block per query); use std::vector"))
+    return findings
+
+
+RULE_NAMES = ("raw-decode", "atomic-rationale", "histogram-math",
+              "exec-arena")
 
 
 def lint_file(rel_path, text, documented_atomics=frozenset()):
@@ -181,6 +206,7 @@ def lint_file(rel_path, text, documented_atomics=frozenset()):
     findings.extend(lint_raw_decode(rel_path, lines))
     findings.extend(lint_atomic_rationale(rel_path, lines, documented))
     findings.extend(lint_histogram_math(rel_path, lines))
+    findings.extend(lint_exec_arena(rel_path, lines))
     return findings
 
 

@@ -46,11 +46,15 @@ class BadFixtures(unittest.TestCase):
         self.assertEqual(self.by_file.get("src/exec/bad_histogram.cpp"),
                          {"histogram-math"})
 
+    def test_exec_arena_fires(self):
+        self.assertEqual(self.by_file.get("src/exec/bad_arena.cpp"),
+                         {"exec-arena"})
+
     def test_no_other_files_flagged(self):
         self.assertEqual(
             set(self.by_file),
             {"src/net/bad_decode.cpp", "src/serve/bad_atomic.cpp",
-             "src/exec/bad_histogram.cpp"})
+             "src/exec/bad_histogram.cpp", "src/exec/bad_arena.cpp"})
 
 
 class GoodFixtures(unittest.TestCase):
@@ -122,6 +126,15 @@ class RuleDetails(unittest.TestCase):
         # size; that is consumption, not re-derivation.
         text = "if (index >= obs::kNumBuckets) return bad();"
         self.assertEqual(ci.lint_file("src/net/frame.cpp", text), [])
+
+
+    def test_exec_arena_scoped_to_exec_and_code(self):
+        text = "ArenaVector<uint32_t> rows_;"
+        self.assertEqual([f[2] for f in ci.lint_file("src/exec/a.h", text)],
+                         ["exec-arena"])
+        self.assertEqual(ci.lint_file("src/storage/a.h", text), [])
+        self.assertEqual(
+            ci.lint_file("src/exec/a.h", "// not a MemArena: one query"), [])
 
 
 class LiveTree(unittest.TestCase):

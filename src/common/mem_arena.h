@@ -2,20 +2,29 @@
 #define SQUID_COMMON_MEM_ARENA_H_
 
 /// \file mem_arena.h
-/// \brief Memory-placement layer for the engine's probe-heavy structures:
-/// an aligned bump arena with optional hugepage backing, a std-allocator
-/// adapter so flat vectors (join tables, CSR postings, group-by slots) land
+/// \brief Memory-placement layer for the engine's long-lived probe-heavy
+/// structures: an aligned bump arena with optional hugepage backing, a
+/// std-allocator adapter so flat vectors (CSR postings, pool entries) land
 /// in arena blocks, and the process-wide MemConfig that tunes hugepage use
 /// and the software-prefetch pipelines.
 ///
-/// Why: at out-of-cache scales the online phase is dominated by
-/// pointer-chasing probes (inverted-index lookups, FlatJoinHash probes,
-/// group-by hashing). DRAM latency, TLB reach, and allocation placement
-/// decide throughput there. Backing the probed arrays with 2 MiB blocks
-/// that request transparent hugepages cuts dTLB misses; the bump layout
-/// keeps each structure's arrays adjacent instead of scattered across the
-/// heap; and the arena's byte counters give exact footprint accounting
-/// (AdbReport, serve stats, snapshot info).
+/// Why:
+///   - At out-of-cache scales the online phase is dominated by
+///     pointer-chasing probes into structures built once per αDB
+///     (inverted-index lookups, StringPool entries). DRAM latency, TLB
+///     reach, and allocation placement decide throughput there; backing the
+///     probed arrays with 2 MiB blocks that request transparent hugepages
+///     cuts dTLB misses.
+///   - The bump layout keeps each structure's arrays adjacent instead of
+///     scattered across the heap.
+///   - The arena's byte counters give exact footprint accounting
+///     (AdbReport, serve stats, snapshot info).
+///   - Not for per-query structures. An arena maps a whole block and takes
+///     its first-touch faults up front, which pays off only when the
+///     structure outlives many requests. The executor's join and group-by
+///     tables (exec/join_hash.h, exec/group_table.h) live for one query and
+///     use plain std::vector; scripts/check_invariants.py (exec-arena) keeps
+///     arenas out of src/exec/.
 ///
 /// Hugepage semantics: a MemArena never hard-fails for lack of hugepages.
 /// kExplicit tries MAP_HUGETLB and falls back to a transparent-hugepage

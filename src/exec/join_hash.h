@@ -13,12 +13,15 @@
 /// the packed key and a linear scan of flat entries — no node chasing, no
 /// per-probe allocation — and `ProbeBatch` amortizes that over a whole chunk
 /// of probe keys at once.
+///
+/// Memory: a FlatJoinHash lives for one query, so both arrays are plain
+/// heap vectors. Arena blocks (common/mem_arena.h) are for long-lived
+/// structures only; a per-query arena would map, first-touch fault and
+/// unmap a 2 MiB block on every join.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/mem_arena.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
@@ -67,11 +70,6 @@ class FlatJoinHash {
     bool empty() const { return size == 0; }
   };
 
-  FlatJoinHash()
-      : arena_(std::make_shared<MemArena>()),
-        table_(ArenaAllocator<Entry>(arena_)),
-        rows_(ArenaAllocator<uint32_t>(arena_)) {}
-
   /// Builds over `rows` of `column`; null cells are skipped. Within each
   /// key, row ids keep their order in `rows` (the executor's output order
   /// contract depends on this).
@@ -95,8 +93,11 @@ class FlatJoinHash {
   size_t num_keys() const { return num_keys_; }
   size_t num_rows() const { return rows_.size(); }
 
-  /// Exact footprint of the bucket table + row array (arena stats).
-  size_t ApproxBytes() const { return arena_->stats().used_bytes; }
+  /// Footprint of the bucket table + row array (allocated capacity).
+  size_t ApproxBytes() const {
+    return table_.capacity() * sizeof(Entry) +
+           rows_.capacity() * sizeof(uint32_t);
+  }
 
  private:
   /// One bucket of the flat probe table (16 bytes, 16-aligned: a bucket
@@ -112,14 +113,11 @@ class FlatJoinHash {
   };
   static_assert(sizeof(Entry) == 16, "bucket layout audited at 16 bytes");
 
-  /// One bucket probe touches one 16-byte entry — at most two cache lines,
-  /// one after the alignment below — and a hit's row span is one contiguous
-  /// read. Both arrays live in `arena_` (hugepage-backed per MemConfig),
-  /// adjacent instead of scattered across the heap.
-  std::shared_ptr<MemArena> arena_;
-  ArenaVector<Entry> table_;  // power-of-two, <= 50% load
+  /// One bucket probe touches one 16-byte entry — one cache line, given the
+  /// alignment above — and a hit's row span is one contiguous read.
+  std::vector<Entry> table_;  // power-of-two, <= 50% load
   uint64_t mask_ = 0;
-  ArenaVector<uint32_t> rows_;
+  std::vector<uint32_t> rows_;
   size_t num_keys_ = 0;
 };
 

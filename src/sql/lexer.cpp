@@ -64,6 +64,16 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
         }
         ++i;
       }
+      // Optional exponent (`2.5e-07`, `1e+20`), as doubles print.
+      if (i < n && (sql[i] == 'e' || sql[i] == 'E')) {
+        size_t j = i + 1;
+        if (j < n && (sql[j] == '+' || sql[j] == '-')) ++j;
+        if (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) {
+          while (j < n && std::isdigit(static_cast<unsigned char>(sql[j]))) ++j;
+          i = j;
+          is_float = true;
+        }
+      }
       tok.type = is_float ? TokenType::kFloat : TokenType::kInteger;
       tok.text = sql.substr(start, i - start);
     } else if (c == '\'') {

@@ -11,7 +11,8 @@ namespace {
 /// Parser state over the token stream.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(const std::string& sql, std::vector<Token> tokens)
+      : sql_(sql), tokens_(std::move(tokens)) {}
 
   Result<Query> ParseQuery() {
     Query query;
@@ -144,9 +145,19 @@ class Parser {
     std::string first = Advance().text;
     if (Peek().IsSymbol(".")) {
       Advance();
-      if (Peek().type != TokenType::kIdentifier) return Error("expected attribute");
+      // After `alias.` a keyword is an attribute name (the αDB's derived
+      // relations have a `count` column); keep its spelling from the source,
+      // since the lexer upper-cases keywords.
+      const Token& attr = Peek();
+      if (attr.type == TokenType::kIdentifier) {
+        col.attribute = attr.text;
+      } else if (attr.type == TokenType::kKeyword) {
+        col.attribute = sql_.substr(attr.position, attr.text.size());
+      } else {
+        return Error("expected attribute");
+      }
+      Advance();
       col.table_alias = first;
-      col.attribute = Advance().text;
     } else {
       col.attribute = first;  // unqualified; resolved at block end
     }
@@ -270,6 +281,7 @@ class Parser {
     return Status::OK();
   }
 
+  const std::string& sql_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
 };
@@ -278,13 +290,13 @@ class Parser {
 
 Result<Query> ParseQuery(const std::string& sql) {
   SQUID_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(sql, std::move(tokens));
   return parser.ParseQuery();
 }
 
 Result<SelectQuery> ParseSelect(const std::string& sql) {
   SQUID_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  Parser parser(std::move(tokens));
+  Parser parser(sql, std::move(tokens));
   return parser.ParseSingleSelect();
 }
 

@@ -8,7 +8,7 @@ namespace {
 
 std::string HavingValueString(double v) {
   if (v == std::floor(v)) return std::to_string(static_cast<int64_t>(v));
-  return Value(v).ToString();
+  return Value(v).ToSqlLiteral();
 }
 
 }  // namespace

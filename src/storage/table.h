@@ -69,8 +69,10 @@ class Column {
   void Reserve(size_t n);
 
   // Raw vector views for the snapshot writer (storage/snapshot.cpp): the
-  // on-disk column payload is these vectors verbatim. Only the vector
-  // matching type() is populated; valid_raw() always has size() entries.
+  // on-disk column payload is these vectors verbatim. The executor's
+  // filter kernels (exec/expression.cpp) scan them directly as well. Only
+  // the vector matching type() is populated; valid_raw() always has size()
+  // entries.
   const std::vector<uint8_t>& valid_raw() const { return valid_; }
   const std::vector<int64_t>& ints_raw() const { return ints_; }
   const std::vector<double>& doubles_raw() const { return doubles_; }

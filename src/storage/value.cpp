@@ -1,5 +1,6 @@
 #include "storage/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <functional>
 
@@ -62,6 +63,16 @@ std::string Value::ToString() const {
 }
 
 std::string Value::ToSqlLiteral() const {
+  if (type() == ValueType::kDouble) {
+    // Shortest text that parses back to the same double (ToString's %g
+    // keeps six digits, which moves range bounds). An integral value keeps
+    // a ".0" so it parses back as a double, not an int64.
+    char buf[32];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), AsDouble());
+    std::string out(buf, res.ptr);
+    if (out.find_first_of(".en") == std::string::npos) out += ".0";
+    return out;
+  }
   if (type() != ValueType::kString) return ToString();
   std::string out = "'";
   for (char c : AsString()) {

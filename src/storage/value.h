@@ -49,7 +49,8 @@ class Value {
   /// Renders for display/SQL ("NULL", 42, 3.5, 'text').
   std::string ToString() const;
 
-  /// SQL literal rendering (strings quoted with '' escaping).
+  /// SQL literal rendering (strings quoted with '' escaping; doubles in the
+  /// shortest form that parses back to the same value).
   std::string ToSqlLiteral() const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

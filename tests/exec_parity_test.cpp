@@ -6,7 +6,9 @@
 // queries (INTERSECT, group-by/HAVING, anti-joins) and the results must be
 // byte-identical, row for row, to the production Executor. The two
 // pipelines share only the packed-key helpers (PackCellKey/PackProbeKey/
-// JoinCellsEqual) and the plan logic; everything vectorized is independent.
+// JoinCellsEqual) and the plan logic; everything vectorized is independent,
+// and selections go through Predicate::Matches on materialized Values, not
+// the executor's compiled filter kernels.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +18,6 @@
 #include "core/squid.h"
 #include "eval/sampler.h"
 #include "exec/executor.h"
-#include "exec/expression.h"
 #include "exec/join_hash.h"
 #include "sql/parser.h"
 
@@ -58,13 +59,25 @@ Result<ResultSet> ReferenceSelect(const Database& db, const SelectQuery& query) 
   for (size_t i = 0; i < num_aliases; ++i) {
     SQUID_ASSIGN_OR_RETURN(const Table* table, db.GetTable(query.from[i].table_name));
     tables[i] = table;
-    std::vector<BoundPredicate> preds;
+    // Selection through the Value path, row at a time: independent of the
+    // executor's compiled filter kernels (exec/expression.h).
+    std::vector<std::pair<const Column*, const Predicate*>> preds;
     for (const auto& p : query.where) {
       if (p.column.table_alias != query.from[i].alias) continue;
-      SQUID_ASSIGN_OR_RETURN(BoundPredicate bp, BindPredicate(*table, p));
-      preds.push_back(std::move(bp));
+      SQUID_ASSIGN_OR_RETURN(const Column* col,
+                             table->ColumnByName(p.column.attribute));
+      preds.emplace_back(col, &p);
     }
-    rows[i] = FilterRows(*table, preds);
+    for (size_t r = 0; r < table->num_rows(); ++r) {
+      bool ok = true;
+      for (const auto& [col, p] : preds) {
+        if (!p->Matches(col->ValueAt(r))) {
+          ok = false;
+          break;
+        }
+      }
+      if (ok) rows[i].push_back(static_cast<uint32_t>(r));
+    }
   }
 
   // Start alias: smallest filtered join-connected relation (global fallback).

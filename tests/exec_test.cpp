@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <set>
+
+#include "common/rng.h"
 #include "exec/executor.h"
+#include "exec/expression.h"
 #include "exec/join_hash.h"
 #include "exec/tuple_buffer.h"
 #include "sql/parser.h"
@@ -415,6 +421,182 @@ TEST(ExecStatsTest, RowsScannedCountsOnlyPredicateVisits) {
   ASSERT_TRUE(rs.ok());
   const size_t person_rows = db->GetTable("person").value()->num_rows();
   EXPECT_EQ(exec.stats().rows_scanned, person_rows);  // castinfo adds 0
+}
+
+// ---------- Filter kernels vs. the Value path ----------
+
+/// A table whose cells and constants hit every corner of Value::Compare:
+/// NULLs, int64 values beyond 2^53 (exact vs. double comparison differ),
+/// -0.0, NaN and infinities, and strings present in or absent from the pool.
+class FilterKernelTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kBig = int64_t{1} << 53;
+
+  void SetUp() override {
+    auto t = db_.CreateTable(Schema("t", {{"id", ValueType::kInt64},
+                                          {"i", ValueType::kInt64},
+                                          {"d", ValueType::kDouble},
+                                          {"s", ValueType::kString}}));
+    ASSERT_TRUE(t.ok());
+    table_ = t.value();
+    Rng rng(2024);
+    for (int64_t r = 0; r < 500; ++r) {
+      std::vector<Value> row = {Value(r), RandomInt(&rng), RandomDouble(&rng),
+                                RandomString(&rng, /*absent=*/false)};
+      for (size_t c = 1; c < row.size(); ++c) {
+        if (rng.Bernoulli(0.1)) row[c] = Value::Null();
+      }
+      ASSERT_TRUE(table_->AppendRow(row).ok());
+    }
+  }
+
+  static Value RandomInt(Rng* rng) {
+    static const int64_t kEdges[] = {kBig, kBig + 1, -kBig - 1, 0,
+                                     std::numeric_limits<int64_t>::max(),
+                                     std::numeric_limits<int64_t>::min()};
+    if (rng->Bernoulli(0.2)) return Value(kEdges[rng->UniformInt(0, 5)]);
+    return Value(rng->UniformInt(-6, 6));
+  }
+
+  static Value RandomDouble(Rng* rng) {
+    static const double kEdges[] = {
+        -0.0, 0.0, std::nan(""), std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(), 2.5,
+        static_cast<double>(kBig)};
+    if (rng->Bernoulli(0.3)) return Value(kEdges[rng->UniformInt(0, 6)]);
+    return Value(static_cast<double>(rng->UniformInt(-6, 6)));
+  }
+
+  static Value RandomString(Rng* rng, bool absent) {
+    static const char* kPresent[] = {"USA", "usa", "", "Comedy", "a", "b"};
+    static const char* kAbsent[] = {"absent", "USA ", "Usa"};
+    if (absent) return Value(kAbsent[rng->UniformInt(0, 2)]);
+    return Value(kPresent[rng->UniformInt(0, 5)]);
+  }
+
+  static Value RandomConstant(Rng* rng) {
+    switch (rng->UniformInt(0, 4)) {
+      case 0:
+        return Value::Null();
+      case 1:
+        return RandomInt(rng);
+      case 2:
+        return RandomDouble(rng);
+      case 3:
+        return RandomString(rng, /*absent=*/false);
+      default:
+        return RandomString(rng, /*absent=*/true);
+    }
+  }
+
+  static Predicate RandomPredicate(Rng* rng) {
+    static const char* kColumns[] = {"i", "d", "s"};
+    ColumnRef col{"t", kColumns[rng->UniformInt(0, 2)]};
+    switch (rng->UniformInt(0, 2)) {
+      case 0: {
+        const auto op = static_cast<CompareOp>(rng->UniformInt(0, 5));
+        return Predicate::Compare(col, op, RandomConstant(rng));
+      }
+      case 1: {  // bounds drawn independently, so often reversed
+        Value lo = RandomConstant(rng);
+        return Predicate::Between(col, std::move(lo), RandomConstant(rng));
+      }
+      default: {
+        std::vector<Value> list;
+        for (int64_t k = rng->UniformInt(0, 4); k > 0; --k) {
+          list.push_back(RandomConstant(rng));
+        }
+        return Predicate::InList(col, std::move(list));
+      }
+    }
+  }
+
+  /// The reference: Predicate::Matches on materialized Values.
+  std::vector<uint32_t> ValuePathRows(
+      const std::vector<Predicate>& preds) const {
+    std::vector<uint32_t> rows;
+    for (size_t r = 0; r < table_->num_rows(); ++r) {
+      bool ok = true;
+      for (const Predicate& p : preds) {
+        const Column* col = table_->ColumnByName(p.column.attribute).value();
+        ok = ok && p.Matches(col->ValueAt(r));
+      }
+      if (ok) rows.push_back(static_cast<uint32_t>(r));
+    }
+    return rows;
+  }
+
+  Database db_{"d"};
+  Table* table_ = nullptr;
+};
+
+TEST_F(FilterKernelTest, RandomizedKernelsMatchValuePath) {
+  Rng rng(7);
+  std::set<BoundPredicate::Kernel> kernels_seen;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<Predicate> preds;
+    for (int64_t k = rng.UniformInt(1, 3); k > 0; --k) {
+      preds.push_back(RandomPredicate(&rng));
+    }
+    std::string label;
+    std::vector<BoundPredicate> bound;
+    for (const Predicate& p : preds) {
+      label += p.ToString() + "; ";
+      auto b = BindPredicate(*table_, p);
+      ASSERT_TRUE(b.ok()) << label;
+      kernels_seen.insert(b.value().kernel);
+      bound.push_back(std::move(b).value());
+    }
+    const std::vector<uint32_t> expected = ValuePathRows(preds);
+    size_t visited = 0;
+    ASSERT_EQ(FilterRows(*table_, bound, &visited), expected) << label;
+    EXPECT_EQ(visited, table_->num_rows()) << label;
+
+    // The same predicates through the executor: same ids, same scan count.
+    SelectQuery q;
+    q.from.push_back(TableRef{"t", "t"});
+    q.select_list.push_back(SelectItem{{"t", "id"}});
+    q.where = preds;
+    Executor exec(&db_);
+    auto rs = exec.ExecuteSelect(q);
+    ASSERT_TRUE(rs.ok()) << label;
+    ASSERT_EQ(rs.value().num_rows(), expected.size()) << label;
+    for (size_t j = 0; j < expected.size(); ++j) {
+      ASSERT_EQ(rs.value().row(j)[0], Value(static_cast<int64_t>(expected[j])))
+          << label;
+    }
+    EXPECT_EQ(exec.stats().rows_scanned, table_->num_rows()) << label;
+  }
+  // Every kernel, and the Value fallback, was exercised.
+  EXPECT_EQ(kernels_seen,
+            (std::set<BoundPredicate::Kernel>{
+                BoundPredicate::Kernel::kValue, BoundPredicate::Kernel::kNone,
+                BoundPredicate::Kernel::kNotNull,
+                BoundPredicate::Kernel::kSymbolIn,
+                BoundPredicate::Kernel::kNumeric}));
+}
+
+TEST_F(FilterKernelTest, KernelChoicePerShape) {
+  using K = BoundPredicate::Kernel;
+  auto kernel_of = [&](const Predicate& p) {
+    return BindPredicate(*table_, p).value().kernel;
+  };
+  auto cmp = [](const char* col, CompareOp op, Value v) {
+    return Predicate::Compare({"t", col}, op, std::move(v));
+  };
+  const Value three(int64_t{3});
+  EXPECT_EQ(kernel_of(cmp("s", CompareOp::kEq, Value("USA"))), K::kSymbolIn);
+  EXPECT_EQ(kernel_of(cmp("s", CompareOp::kEq, Value("absent"))), K::kNone);
+  EXPECT_EQ(kernel_of(cmp("s", CompareOp::kLt, Value("b"))), K::kValue);
+  // Strings sort after numbers, numbers before strings.
+  EXPECT_EQ(kernel_of(cmp("s", CompareOp::kGt, three)), K::kNotNull);
+  EXPECT_EQ(kernel_of(cmp("d", CompareOp::kLt, Value("x"))), K::kNotNull);
+  EXPECT_EQ(kernel_of(cmp("i", CompareOp::kGe, Value(2.5))), K::kNumeric);
+  EXPECT_EQ(kernel_of(Predicate::Between({"t", "i"}, Value::Null(), three)),
+            K::kNone);
+  EXPECT_EQ(kernel_of(Predicate::InList({"t", "i"}, {three})), K::kValue);
+  EXPECT_EQ(kernel_of(Predicate::InList({"t", "s"}, {three, Value("a")})),
+            K::kSymbolIn);
 }
 
 // ---------- FlatJoinHash / TupleBuffer ----------

@@ -7,13 +7,16 @@
 #include "eval/metrics.h"
 #include "eval/sampler.h"
 #include "exec/executor.h"
+#include "sql/parser.h"
 #include "sql/printer.h"
 #include "tests/test_util.h"
 
 namespace squid {
 namespace {
 
+using bench::BuildDblpBench;
 using bench::BuildImdbBench;
+using bench::DblpBench;
 using bench::GroundTruthKeys;
 using bench::ImdbBench;
 
@@ -119,6 +122,59 @@ TEST_F(IntegrationFixture, AdbAndOriginalFormsAgreeOnRealQueries) {
     }
     EXPECT_LE(orig_set.size(), adb_set.size() + 3) << id;
   }
+}
+
+/// Discovers each benchmark query of `queries` from sampled examples, then
+/// checks that the αDB query's SQL text (what a socket client receives as
+/// WireAnswer::adb_sql) parses and executes to the same ResultSet as the
+/// query itself. Returns how many of those texts name a derived `count`
+/// column, a keyword the parser must accept as an attribute.
+size_t ExpectAdbSqlRoundTrips(const Database& base, const AbductionReadyDb& adb,
+                              const std::vector<BenchmarkQuery>& queries) {
+  size_t with_count = 0;
+  for (const auto& bq : queries) {
+    auto truth = GroundTruth(base, bq);
+    EXPECT_TRUE(truth.ok()) << bq.id;
+    if (!truth.ok()) continue;
+    Rng rng(29);
+    auto examples = SampleExamples(truth.value(), 8, &rng);
+    if (examples.size() < 2) continue;
+    Squid squid(&adb);
+    auto abduced = squid.Discover(examples);
+    if (!abduced.ok()) continue;
+    const std::string sql = ToSql(abduced.value().adb_query);
+    if (sql.find(".count ") != std::string::npos) ++with_count;
+    auto parsed = ParseQuery(sql);
+    EXPECT_TRUE(parsed.ok()) << bq.id << ": " << parsed.status().ToString();
+    if (!parsed.ok()) continue;
+    auto expected = ExecuteQuery(adb.database(), abduced.value().adb_query);
+    auto actual = ExecuteQuery(adb.database(), parsed.value());
+    EXPECT_TRUE(expected.ok()) << bq.id;
+    EXPECT_TRUE(actual.ok()) << bq.id << ": " << actual.status().ToString();
+    if (!expected.ok() || !actual.ok()) continue;
+    EXPECT_EQ(expected.value().column_names(), actual.value().column_names())
+        << bq.id;
+    EXPECT_EQ(expected.value().num_rows(), actual.value().num_rows())
+        << bq.id << ": " << sql;
+    if (expected.value().num_rows() != actual.value().num_rows()) continue;
+    for (size_t i = 0; i < expected.value().num_rows(); ++i) {
+      EXPECT_EQ(ResultSet::EncodeRow(expected.value().row(i)),
+                ResultSet::EncodeRow(actual.value().row(i)))
+          << bq.id << " row " << i;
+    }
+  }
+  return with_count;
+}
+
+TEST_F(IntegrationFixture, AdbSqlTextRoundTripsOnImdbAndDblp) {
+  const size_t imdb_count =
+      ExpectAdbSqlRoundTrips(*bench_->data.db, *bench_->adb, bench_->queries);
+  DblpBench dblp = BuildDblpBench(0.2);
+  const size_t dblp_count =
+      ExpectAdbSqlRoundTrips(*dblp.data.db, *dblp.adb, dblp.queries);
+  // The derived `count` threshold must actually occur, or the round trip
+  // would not cover the keyword-attribute case.
+  EXPECT_GT(imdb_count + dblp_count, 0u);
 }
 
 TEST_F(IntegrationFixture, QreModeReverseEngineersSelections) {

@@ -39,6 +39,36 @@ TEST(LexerTest, NumbersAndStrings) {
   EXPECT_EQ(tokens.value()[3].text, "it's");
 }
 
+TEST(LexerTest, ExponentLiterals) {
+  auto tokens = Tokenize("1e+20 2.5e-07 -3E2 7e x");
+  ASSERT_TRUE(tokens.ok());
+  const auto& t = tokens.value();
+  EXPECT_EQ(t[0].type, TokenType::kFloat);
+  EXPECT_EQ(t[0].text, "1e+20");
+  EXPECT_EQ(t[1].text, "2.5e-07");
+  EXPECT_EQ(t[2].type, TokenType::kFloat);
+  EXPECT_EQ(t[2].text, "-3E2");
+  // A bare `e` without digits is not an exponent.
+  EXPECT_EQ(t[3].type, TokenType::kInteger);
+  EXPECT_EQ(t[4].type, TokenType::kIdentifier);
+}
+
+TEST(ParserTest, DoubleConstantsRoundTripExactly) {
+  auto q = ParseSelect(
+      "SELECT m.title FROM movie m WHERE m.rating BETWEEN 5.631771234 AND "
+      "7.0 AND m.score >= 2.5e-07");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  auto again = ParseSelect(ToSql(q.value()));
+  ASSERT_TRUE(again.ok()) << ToSql(q.value());
+  const auto& w = again.value().where;
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_EQ(w[0].lo.type(), ValueType::kDouble);
+  EXPECT_EQ(w[0].lo.AsDouble(), 5.631771234);
+  EXPECT_EQ(w[0].hi.type(), ValueType::kDouble);
+  EXPECT_EQ(w[0].hi.AsDouble(), 7.0);
+  EXPECT_EQ(w[1].value.AsDouble(), 2.5e-07);
+}
+
 TEST(LexerTest, TwoCharOperators) {
   auto tokens = Tokenize("a >= 1 AND b <= 2 AND c != 3 AND d <> 4");
   ASSERT_TRUE(tokens.ok());
@@ -138,6 +168,26 @@ TEST(ParserTest, Errors) {
   EXPECT_FALSE(ParseSelect("SELECT a.b FROM t WHERE a.b < c.d").ok());
 }
 
+TEST(ParserTest, KeywordAttributeAfterAliasDot) {
+  // The αDB's derived relations carry a `count` column; `count` lexes as a
+  // keyword, but after `alias.` it names an attribute, spelled as written.
+  auto q = ParseSelect(
+      "SELECT DISTINCT p.name FROM person AS p, person_genre AS d "
+      "WHERE d.entity_id = p.id AND d.value = 'Comedy' AND d.count >= 3 "
+      "AND d.Count <= 9");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_EQ(q.value().where.size(), 3u);
+  EXPECT_EQ(q.value().where[1].column.table_alias, "d");
+  EXPECT_EQ(q.value().where[1].column.attribute, "count");
+  EXPECT_EQ(q.value().where[2].column.attribute, "Count");
+  auto joined = ParseSelect("SELECT a.x FROM a, b WHERE a.count = b.count");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_EQ(joined.value().join_predicates.size(), 1u);
+  EXPECT_EQ(joined.value().join_predicates[0].right.attribute, "count");
+  // A bare keyword is still not a column.
+  EXPECT_FALSE(ParseSelect("SELECT count FROM person").ok());
+}
+
 // ---------- Printer round-trips ----------
 
 class RoundTripTest : public ::testing::TestWithParam<const char*> {};
@@ -163,7 +213,9 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT p.name FROM person p, castinfo c WHERE c.person_id = p.id "
         "GROUP BY p.id HAVING count(*) >= 40",
         "SELECT m.title FROM movie m INTERSECT SELECT m.title FROM movie m",
-        "SELECT a.name FROM author a, author b WHERE a.id != b.id"));
+        "SELECT a.name FROM author a, author b WHERE a.id != b.id",
+        "SELECT DISTINCT p.name FROM person AS p, person_genre AS d WHERE "
+        "d.entity_id = p.id AND d.value = 'Comedy' AND d.count >= 3"));
 
 // ---------- Predicates ----------
 

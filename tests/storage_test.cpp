@@ -64,6 +64,15 @@ TEST(ValueTest, SqlLiteralQuotesAndEscapes) {
   EXPECT_EQ(Value(static_cast<int64_t>(5)).ToSqlLiteral(), "5");
 }
 
+TEST(ValueTest, SqlLiteralDoublesRoundTrip) {
+  // Six-digit %g would print 5.63177 and move a range bound.
+  EXPECT_EQ(Value(5.631771234).ToSqlLiteral(), "5.631771234");
+  EXPECT_EQ(Value(5.0).ToSqlLiteral(), "5.0");  // stays a double literal
+  EXPECT_EQ(Value(-0.0).ToSqlLiteral(), "-0.0");
+  EXPECT_EQ(Value(1e20).ToSqlLiteral(), "1e+20");
+  EXPECT_EQ(Value(2.5e-7).ToSqlLiteral(), "2.5e-07");
+}
+
 TEST(ValueTest, ToNumeric) {
   EXPECT_EQ(Value(static_cast<int64_t>(4)).ToNumeric().value(), 4.0);
   EXPECT_EQ(Value(4.5).ToNumeric().value(), 4.5);

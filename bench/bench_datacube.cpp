@@ -53,9 +53,7 @@ int main(int argc, char** argv) {
     const Column* movie = castinfo.value()->ColumnByName("movie_id").value();
     const Column* genre = movietogenre.value()->ColumnByName("genre_id").value();
     for (size_t r = 0; r < castinfo.value()->num_rows(); ++r) {
-      const auto* links = mtg_index.value().Lookup(movie->ValueAt(r));
-      if (links == nullptr) continue;
-      for (size_t lr : *links) {
+      for (uint32_t lr : mtg_index.value().Lookup(movie->ValueAt(r))) {
         SQUID_CHECK(cube.AppendRow({person->ValueAt(r), movie->ValueAt(r),
                                     genre->ValueAt(lr)})
                         .ok());
@@ -81,9 +79,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < lookups; ++i) {
     size_t r = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(persons.value()->num_rows()) - 1));
-    const auto* rows = derived_index.value().Lookup(person_id->ValueAt(r));
-    if (rows == nullptr) continue;
-    for (size_t dr : *rows) {
+    const RowSpan rows = derived_index.value().Lookup(person_id->ValueAt(r));
+    if (rows.empty()) continue;
+    for (uint32_t dr : rows) {
       adb_checksum += static_cast<double>(derived_count->Int64At(dr));
       (void)derived_value->ValueAt(dr);
     }
@@ -97,10 +95,10 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < lookups; ++i) {
     size_t r = static_cast<size_t>(
         rng2.UniformInt(0, static_cast<int64_t>(persons.value()->num_rows()) - 1));
-    const auto* rows = cube_index.value().Lookup(person_id->ValueAt(r));
-    if (rows == nullptr) continue;
+    const RowSpan rows = cube_index.value().Lookup(person_id->ValueAt(r));
+    if (rows.empty()) continue;
     std::map<int64_t, int64_t> counts;
-    for (size_t cr : *rows) ++counts[cube_genre->Int64At(cr)];
+    for (uint32_t cr : rows) ++counts[cube_genre->Int64At(cr)];
     for (const auto& [_, c] : counts) cube_checksum += static_cast<double>(c);
   }
   double cube_seconds = cube_timer.ElapsedSeconds();

@@ -1,6 +1,7 @@
 // Regenerates the dataset-description tables (Figs. 17/18) and the
 // benchmark-query tables (Figs. 19/20/22): relation counts, row counts,
-// aDB precomputation size/time, and per-query join / selection counts with
+// aDB precomputation size/time (with its per-step split: derived-relation
+// materialization, statistics, indexes), and per-query join / selection counts with
 // result cardinalities on the generated data. Also reports serial-vs-
 // parallel αDB build time per dataset (--threads=, 0 = hardware) for the
 // JSON sink / trend checker.
@@ -35,7 +36,10 @@ void DatasetRow(TablePrinter* table, const char* name, const Database& db,
                  TablePrinter::Int(report.num_derived_relations),
                  TablePrinter::Int(report.derived_rows),
                  TablePrinter::Int(report.derived_bytes / 1024),
-                 TablePrinter::Num(report.build_seconds, 2)});
+                 TablePrinter::Num(report.build_seconds, 2),
+                 TablePrinter::Num(report.derived_seconds, 3),
+                 TablePrinter::Num(report.stats_seconds, 3),
+                 TablePrinter::Num(report.index_seconds, 3)});
 }
 
 }  // namespace
@@ -51,7 +55,8 @@ int main(int argc, char** argv) {
   AdultBench adult = BuildAdultBench();
 
   TablePrinter datasets({"dataset", "#relations", "rows", "KB", "#derived",
-                         "derived rows", "derived KB", "precompute (s)"});
+                         "derived rows", "derived KB", "precompute (s)",
+                         "derived (s)", "stats (s)", "index (s)"});
   DatasetRow(&datasets, "IMDb", *imdb.data.db, imdb.adb->report());
   DatasetRow(&datasets, "DBLP", *dblp.data.db, dblp.adb->report());
   DatasetRow(&datasets, "Adult", *adult.db, adult.adb->report());

@@ -115,6 +115,11 @@ int RunBuild(int argc, char** argv) {
               dataset.c_str(), scale, build_seconds, file.c_str(),
               bytes.ok() ? bytes.value().size() / (1024.0 * 1024.0) : 0.0,
               save_watch.ElapsedSeconds());
+  // Per-step times are summed over the build's parallel slots.
+  const squid::AdbReport& report = adb.value()->report();
+  std::printf("  steps: derived %.3fs, stats %.3fs, index %.3fs (%zu thread(s))\n",
+              report.derived_seconds, report.stats_seconds, report.index_seconds,
+              report.threads_used);
   return 0;
 }
 

@@ -24,6 +24,9 @@ struct DescriptorWork {
   bool oversized = false;          // derived skipped by max_derived_rows
   std::optional<HashColumnIndex> entity_index;
   std::unordered_map<Value, double, ValueHash> totals;
+  double derived_seconds = 0;
+  double stats_seconds = 0;
+  double index_seconds = 0;
 };
 
 /// Materializes + computes statistics for one descriptor against the base
@@ -39,13 +42,16 @@ DescriptorWork BuildDescriptor(const Database& base, const PropertyDescriptor& d
   };
   auto etable = base.GetTable(desc.entity_relation);
   if (!etable.ok()) return fail(etable.status());
+  Stopwatch step;
   if (desc.hops.empty()) {
     auto stats = StatisticsBuilder::BuildBasic(base, desc);
+    work.stats_seconds = step.ElapsedSeconds();
     if (!stats.ok()) return fail(stats.status());
     work.stats.emplace(std::move(stats).value());
     return work;
   }
   auto derived = MaterializeDerivedRelation(base, desc);
+  work.derived_seconds = step.ElapsedSeconds();
   if (!derived.ok()) return fail(derived.status());
   if (options.max_derived_rows > 0 &&
       derived.value()->num_rows() > options.max_derived_rows) {
@@ -53,10 +59,14 @@ DescriptorWork BuildDescriptor(const Database& base, const PropertyDescriptor& d
     work.derived = std::move(derived).value();
     return work;
   }
+  step.Reset();
   auto stats = StatisticsBuilder::BuildFromDerived(
       *derived.value(), etable.value()->num_rows(), &work.totals);
+  work.stats_seconds = step.ElapsedSeconds();
   if (!stats.ok()) return fail(stats.status());
+  step.Reset();
   auto entity_idx = HashColumnIndex::Build(*derived.value(), "entity_id");
+  work.index_seconds = step.ElapsedSeconds();
   if (!entity_idx.ok()) return fail(entity_idx.status());
   work.stats.emplace(std::move(stats).value());
   work.entity_index.emplace(std::move(entity_idx).value());
@@ -104,12 +114,16 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   ThreadPool pool(std::min(adb->report_.threads_used, max_tasks));
 
   std::vector<std::optional<Result<HashColumnIndex>>> pk_results(keyed_names.size());
+  std::vector<double> pk_seconds(keyed_names.size());
   pool.ParallelFor(keyed_names.size(), [&](size_t i) {
+    Stopwatch step;
     const Table* table = base.GetTable(keyed_names[i]).value();
     pk_results[i].emplace(HashColumnIndex::Build(*table, *table->schema().primary_key()));
+    pk_seconds[i] = step.ElapsedSeconds();
   });
   for (size_t i = 0; i < keyed_names.size(); ++i) {
     if (!pk_results[i]->ok()) return pk_results[i]->status();
+    adb->report_.index_seconds += pk_seconds[i];
     adb->entity_pk_index_.emplace(keyed_names[i], std::move(*pk_results[i]).value());
   }
 
@@ -135,6 +149,9 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
     const PropertyDescriptor& desc = descriptors[i];
     DescriptorWork& w = work[i];
     SQUID_RETURN_NOT_OK(w.status);
+    adb->report_.derived_seconds += w.derived_seconds;
+    adb->report_.stats_seconds += w.stats_seconds;
+    adb->report_.index_seconds += w.index_seconds;
     if (w.oversized) {
       SQUID_LOG(Warn) << "skipping oversized derived relation " << desc.derived_table
                       << " (" << w.derived->num_rows() << " rows)";
@@ -154,7 +171,9 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::Build(
   }
 
   // Inverted column index over the base database.
+  Stopwatch step;
   SQUID_ASSIGN_OR_RETURN(InvertedColumnIndex inv, InvertedColumnIndex::Build(base));
+  adb->report_.index_seconds += step.ElapsedSeconds();
   adb->inverted_index_ = std::move(inv);
   adb->report_.index_bytes = adb->inverted_index_.ApproxBytes();
 
@@ -177,11 +196,11 @@ Result<size_t> AbductionReadyDb::EntityRowByKey(const std::string& relation,
   if (it == entity_pk_index_.end()) {
     return Status::NotFound("no PK index for entity relation '" + relation + "'");
   }
-  const std::vector<size_t>* rows = it->second.Lookup(key);
-  if (rows == nullptr || rows->empty()) {
+  const RowSpan rows = it->second.Lookup(key);
+  if (rows.empty()) {
     return Status::NotFound("no " + relation + " row with key " + key.ToString());
   }
-  return (*rows)[0];
+  return rows[0];
 }
 
 Result<Value> AbductionReadyDb::BasicValue(const PropertyDescriptor& desc,
@@ -214,13 +233,13 @@ Result<std::vector<std::pair<Value, double>>> AbductionReadyDb::DerivedValues(
     return Status::NotFound("no derived relation for descriptor '" + desc.id + "'");
   }
   std::vector<std::pair<Value, double>> out;
-  const std::vector<size_t>* rows = it->second.Lookup(key);
-  if (rows == nullptr) return out;
+  const RowSpan rows = it->second.Lookup(key);
+  if (rows.empty()) return out;
   SQUID_ASSIGN_OR_RETURN(const Table* derived, db_.GetTable(desc.derived_table));
   SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived->ColumnByName("value"));
   SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived->ColumnByName("count"));
-  out.reserve(rows->size());
-  for (size_t r : *rows) {
+  out.reserve(rows.size);
+  for (uint32_t r : rows) {
     out.emplace_back(value_col->ValueAt(r),
                      static_cast<double>(count_col->Int64At(r)));
   }
@@ -266,10 +285,10 @@ std::string AbductionReadyDb::DisplayValue(const PropertyDescriptor& desc,
       if (!display_attr.empty()) {
         auto it = entity_pk_index_.find(desc.terminal_relation);
         if (it != entity_pk_index_.end()) {
-          const std::vector<size_t>* rows = it->second.Lookup(v);
-          if (rows != nullptr && !rows->empty()) {
+          const RowSpan rows = it->second.Lookup(v);
+          if (!rows.empty()) {
             auto col = table.value()->ColumnByName(display_attr);
-            if (col.ok()) return col.value()->ValueAt((*rows)[0]).ToString();
+            if (col.ok()) return col.value()->ValueAt(rows[0]).ToString();
           }
         }
       }
@@ -284,11 +303,11 @@ Result<size_t> AbductionReadyDb::EntityRowByKeyOrDim(const std::string& relation
   // Entity relations have a prebuilt index; dimensions are probed directly.
   auto it = entity_pk_index_.find(relation);
   if (it != entity_pk_index_.end()) {
-    const std::vector<size_t>* rows = it->second.Lookup(key);
-    if (rows == nullptr || rows->empty()) {
+    const RowSpan rows = it->second.Lookup(key);
+    if (rows.empty()) {
       return Status::NotFound("no " + relation + " row with key " + key.ToString());
     }
-    return (*rows)[0];
+    return rows[0];
   }
   SQUID_ASSIGN_OR_RETURN(const Table* table, db_.GetTable(relation));
   SQUID_ASSIGN_OR_RETURN(const Column* col, table->ColumnByName(key_attr));

@@ -49,6 +49,15 @@ struct AdbSnapshotOptions {
 /// Build-time and size report (feeds the dataset description tables).
 struct AdbReport {
   double build_seconds = 0;
+  /// Per-step build time: derived-relation materialization, statistics
+  /// precomputation, and index construction (inverted index, PK indexes,
+  /// derived entity indexes). A parallel build sums each over its
+  /// per-descriptor / per-relation slots, so with threads > 1 they can add
+  /// up to more than build_seconds. Volatile like build_seconds: never
+  /// serialized, zero after LoadSnapshot.
+  double derived_seconds = 0;
+  double stats_seconds = 0;
+  double index_seconds = 0;
   /// Configured build parallelism (after resolving threads == 0 to the
   /// hardware concurrency; the worker pool itself is additionally capped at
   /// the widest per-phase fan-out).
@@ -89,7 +98,8 @@ class AbductionReadyDb {
   /// in-memory (cheap and deterministic). Malformed input of any kind —
   /// truncation, bit flips, hostile lengths — yields a Status error, never
   /// UB. The volatile report fields are not part of a snapshot:
-  /// build_seconds / threads_used read 0 / 1 after a load, and base_bytes
+  /// build_seconds and the per-step seconds read 0 and threads_used 1 after
+  /// a load, and base_bytes
   /// (allocation-history dependent at build time) is recomputed from the
   /// restored pool and base tables. Defined in adb/adb_snapshot.cpp.
   static Result<std::unique_ptr<AbductionReadyDb>> LoadSnapshot(

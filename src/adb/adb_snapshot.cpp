@@ -476,10 +476,14 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
   SQUID_RETURN_NOT_OK(ExpectDrained(stats_in, "property stats"));
 
   // Report: stable fields from the manifest; volatile fields are not part
-  // of a snapshot (build_seconds 0, threads_used 1, base_bytes recomputed
-  // here with the same pool + base tables accounting Build() uses).
+  // of a snapshot (build_seconds and the per-step seconds 0, threads_used
+  // 1, base_bytes recomputed here with the same pool + base tables
+  // accounting Build() uses).
   adb->report_ = manifest.report;
   adb->report_.build_seconds = 0;
+  adb->report_.derived_seconds = 0;
+  adb->report_.stats_seconds = 0;
+  adb->report_.index_seconds = 0;
   adb->report_.threads_used = 1;
   adb->report_.base_bytes = pool->ApproxBytes();
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
@@ -501,8 +505,8 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
     adb->entity_pk_index_.emplace(meta.name, std::move(index));
   }
 
-  // ... and, per derived relation, the entity->rows index plus the exact
-  // per-entity totals recomputation of StatisticsBuilder::BuildFromDerived.
+  // ... and, per derived relation, the entity->rows index plus the
+  // per-entity totals (StatisticsBuilder::EntityTotals, as the build does).
   for (const AdbSnapshotTableInfo& meta : manifest.tables) {
     if (!meta.derived) continue;
     const PropertyDescriptor* desc = nullptr;
@@ -517,7 +521,6 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
                                 "' is not named by any descriptor");
     }
     SQUID_ASSIGN_OR_RETURN(const Table* derived, adb->db_.GetTable(meta.name));
-    SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived->ColumnByName("entity_id"));
     SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived->ColumnByName("count"));
     SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived->ColumnByName("frac"));
     if (count_col->type() != ValueType::kInt64 ||
@@ -531,17 +534,11 @@ Result<std::unique_ptr<AbductionReadyDb>> AbductionReadyDb::LoadSnapshot(
       return Status::Corruption("snapshot: two derived tables map to descriptor '" +
                                 desc->id + "'");
     }
-    adb->derived_entity_index_.emplace(desc->id, std::move(index));
     std::unordered_map<Value, double, ValueHash>& totals =
         adb->entity_totals_[desc->id];
-    totals.reserve(derived->num_rows());
-    for (size_t r = 0; r < derived->num_rows(); ++r) {
-      const double count = static_cast<double>(count_col->Int64At(r));
-      const double frac = frac_col->DoubleAt(r);
-      if (count > 0 && frac > 0) {
-        totals[entity_col->ValueAt(r)] = count / frac;
-      }
-    }
+    totals.reserve(index.NumDistinct());
+    adb->derived_entity_index_.emplace(desc->id, std::move(index));
+    SQUID_RETURN_NOT_OK(StatisticsBuilder::EntityTotals(*derived, &totals));
   }
 
   return adb;

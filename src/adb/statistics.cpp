@@ -49,11 +49,11 @@ Result<Value> ResolveDims(const Database& db, const PropertyDescriptor& desc,
     const DimHop& dim = desc.dims[i];
     SQUID_ASSIGN_OR_RETURN(const Column* from, current->ColumnByName(dim.from_attr));
     if (from->IsNull(current_row)) return Value::Null();
-    const std::vector<size_t>* rows = pk_indexes[i].Lookup(from->ValueAt(current_row));
-    if (rows == nullptr || rows->empty()) return Value::Null();
+    const RowSpan rows = pk_indexes[i].Lookup(from->ValueAt(current_row));
+    if (rows.empty()) return Value::Null();
     SQUID_ASSIGN_OR_RETURN(const Table* next, db.GetTable(dim.dim_relation));
     current = next;
-    current_row = (*rows)[0];
+    current_row = rows[0];
   }
   SQUID_ASSIGN_OR_RETURN(const Column* terminal,
                          current->ColumnByName(desc.terminal_attr));
@@ -169,25 +169,18 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
   stats.total_entities_ = total_entities;
   stats.pool_ = derived.pool();
 
-  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
   SQUID_ASSIGN_OR_RETURN(const Column* value_col, derived.ColumnByName("value"));
   SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
   SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
 
   entity_totals->clear();
   entity_totals->reserve(total_entities);
+  SQUID_RETURN_NOT_OK(EntityTotals(derived, entity_totals));
   StringPool* pool = derived.pool().get();
   for (size_t r = 0; r < derived.num_rows(); ++r) {
     ValueKey key = stats.InternKey(value_col->ValueAt(r), pool);
-    double count = static_cast<double>(count_col->Int64At(r));
-    double frac = frac_col->DoubleAt(r);
-    stats.theta_by_value_[key].push_back(count);
-    stats.theta_norm_by_value_[key].push_back(frac);
-    // Recover the portfolio total from (count, frac); rows of one entity all
-    // agree on it.
-    if (count > 0 && frac > 0) {
-      (*entity_totals)[entity_col->ValueAt(r)] = count / frac;
-    }
+    stats.theta_by_value_[key].push_back(static_cast<double>(count_col->Int64At(r)));
+    stats.theta_norm_by_value_[key].push_back(frac_col->DoubleAt(r));
   }
   for (auto& [_, thetas] : stats.theta_by_value_) {
     std::sort(thetas.begin(), thetas.end());
@@ -196,6 +189,41 @@ Result<PropertyStats> StatisticsBuilder::BuildFromDerived(
     std::sort(thetas.begin(), thetas.end());
   }
   return stats;
+}
+
+Status StatisticsBuilder::EntityTotals(
+    const Table& derived, std::unordered_map<Value, double, ValueHash>* totals) {
+  SQUID_ASSIGN_OR_RETURN(const Column* entity_col, derived.ColumnByName("entity_id"));
+  SQUID_ASSIGN_OR_RETURN(const Column* count_col, derived.ColumnByName("count"));
+  SQUID_ASSIGN_OR_RETURN(const Column* frac_col, derived.ColumnByName("frac"));
+  if (count_col->type() != ValueType::kInt64 || frac_col->type() != ValueType::kDouble) {
+    return Status::InvalidArgument("derived table '" + derived.name() +
+                                   "' has unexpected count/frac column types");
+  }
+  // Derived relations are sorted by entity, so an entity's rows are usually
+  // one run: assign once per run, from the run's last row that carries a
+  // total. A later run of the same entity overwrites, as the last row
+  // overall must. Within one column, equal packed keys mean equal Values.
+  const size_t n = derived.num_rows();
+  size_t pending = n;  // the current run's last row with a total
+  uint64_t run_key = 0;
+  bool run_keyed = false;  // the current run's key is non-null
+  auto flush = [&] {
+    if (pending == n) return;
+    (*totals)[entity_col->ValueAt(pending)] =
+        static_cast<double>(count_col->Int64At(pending)) / frac_col->DoubleAt(pending);
+    pending = n;
+  };
+  for (size_t r = 0; r < n; ++r) {
+    uint64_t key = 0;
+    const bool keyed = PackCellKey(*entity_col, r, &key);
+    if (!keyed || !run_keyed || key != run_key) flush();
+    run_keyed = keyed;
+    run_key = key;
+    if (count_col->Int64At(r) > 0 && frac_col->DoubleAt(r) > 0) pending = r;
+  }
+  flush();
+  return Status::OK();
 }
 
 }  // namespace squid

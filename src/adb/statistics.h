@@ -130,12 +130,20 @@ class StatisticsBuilder {
                                           const PropertyDescriptor& desc);
 
   /// Stats for multi-valued / derived descriptors, computed from the
-  /// materialized derived relation (entity_id, value, count).
+  /// materialized derived relation (entity_id, value, count, frac).
   /// `entity_totals` maps entity key -> total association count, used for
-  /// normalized association strengths; it is also an output (filled here).
+  /// normalized association strengths; it is also an output (filled here,
+  /// by EntityTotals).
   static Result<PropertyStats> BuildFromDerived(
       const Table& derived, size_t total_entities,
       std::unordered_map<Value, double, ValueHash>* entity_totals);
+
+  /// Recovers each entity's portfolio total, count / frac, from a derived
+  /// relation (rows with count or frac 0 carry none). Rows of one entity all
+  /// agree on it; where rounding differs, the entity's last such row wins.
+  /// The one recomputation shared by the build and the snapshot load.
+  static Status EntityTotals(const Table& derived,
+                             std::unordered_map<Value, double, ValueHash>* totals);
 };
 
 }  // namespace squid

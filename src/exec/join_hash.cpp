@@ -5,71 +5,6 @@
 
 namespace squid {
 
-bool PackCellKey(const Column& col, size_t row, uint64_t* key) {
-  if (col.IsNull(row)) return false;
-  switch (col.type()) {
-    case ValueType::kString:
-      *key = col.SymbolAt(row);
-      return true;
-    case ValueType::kInt64:
-      *key = static_cast<uint64_t>(col.Int64At(row));
-      return true;
-    case ValueType::kDouble:
-      *key = PackedDoubleBits(col.DoubleAt(row));
-      return true;
-    case ValueType::kNull:
-      return false;
-  }
-  return false;
-}
-
-bool PackProbeKey(const Column& build, const Column& probe, size_t row,
-                  uint64_t* key) {
-  if (probe.IsNull(row)) return false;
-  switch (build.type()) {
-    case ValueType::kString: {
-      if (probe.type() != ValueType::kString) return false;
-      if (probe.pool() == build.pool()) {
-        *key = probe.SymbolAt(row);
-        return true;
-      }
-      Symbol s = build.pool()->Find(probe.StringAt(row));
-      if (s == kNoSymbol) return false;
-      *key = s;
-      return true;
-    }
-    case ValueType::kInt64: {
-      if (probe.type() == ValueType::kInt64) {
-        *key = static_cast<uint64_t>(probe.Int64At(row));
-        return true;
-      }
-      if (probe.type() == ValueType::kDouble) {
-        double d = probe.DoubleAt(row);
-        if (d < -9.2e18 || d > 9.2e18) return false;  // cast would overflow
-        int64_t i = static_cast<int64_t>(d);
-        if (static_cast<double>(i) != d) return false;  // 2.5 matches nothing
-        *key = static_cast<uint64_t>(i);
-        return true;
-      }
-      return false;
-    }
-    case ValueType::kDouble: {
-      if (probe.type() == ValueType::kDouble) {
-        *key = PackedDoubleBits(probe.DoubleAt(row));
-        return true;
-      }
-      if (probe.type() == ValueType::kInt64) {
-        *key = PackedDoubleBits(static_cast<double>(probe.Int64At(row)));
-        return true;
-      }
-      return false;
-    }
-    case ValueType::kNull:
-      return false;
-  }
-  return false;
-}
-
 bool JoinCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb) {
   if (a.IsNull(ra) || b.IsNull(rb)) return false;
   const bool a_str = a.type() == ValueType::kString;

@@ -3,8 +3,9 @@
 
 /// \file join_hash.h
 /// \brief Flat build-side hash table for the executor's vectorized joins,
-/// plus the packed 64-bit cell-key helpers shared by joins, group-by, and
-/// the golden-parity reference executor in tests.
+/// plus the join-side cell equality. The packed 64-bit cell keys it hashes
+/// (PackCellKey / PackProbeKey / MixJoinKey) live in storage/cell_key.h,
+/// shared with HashColumnIndex.
 ///
 /// Layout mirrors the PR 2 inverted-index recipe: keys live in an
 /// open-addressing (linear probing) power-of-two table of 16-byte
@@ -22,53 +23,21 @@
 #include <cstdint>
 #include <vector>
 
+#include "storage/cell_key.h"
 #include "storage/table.h"
 #include "storage/value.h"
 
 namespace squid {
 
-/// Packs the cell into the 64-bit join-key space of its own column:
-/// dictionary symbol for strings, bit pattern for numerics. Returns false
-/// for nulls (which never join).
-bool PackCellKey(const Column& col, size_t row, uint64_t* key);
-
-/// Packs a probe cell into the *build* column's key space, preserving
-/// Value equality semantics (1 == 1.0 across numeric types; strings match
-/// exactly). Returns false when the cell is null or cannot equal any build
-/// key (type mismatch, string absent from the build dictionary, double
-/// outside int64 range or with a fractional part when the build side is
-/// integer).
-bool PackProbeKey(const Column& build, const Column& probe, size_t row,
-                  uint64_t* key);
-
 /// Cell equality without materializing Values; nulls equal nothing.
 bool JoinCellsEqual(const Column& a, size_t ra, const Column& b, size_t rb);
-
-/// 64-bit mixer (splitmix64 finalizer) used for the probe table's bucket
-/// choice; the packed keys are often small dense ints, so raw masking would
-/// cluster.
-inline uint64_t MixJoinKey(uint64_t x) {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ULL;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
-}
 
 /// \brief Open-addressing build-side join table: packed cell key -> span of
 /// build row ids, stored as one flat CSR array.
 class FlatJoinHash {
  public:
   /// Non-owning view of one key's build rows (contiguous, in build order).
-  struct RowSpan {
-    const uint32_t* data = nullptr;
-    uint32_t size = 0;
-
-    const uint32_t* begin() const { return data; }
-    const uint32_t* end() const { return data + size; }
-    bool empty() const { return size == 0; }
-  };
+  using RowSpan = squid::RowSpan;
 
   /// Builds over `rows` of `column`; null cells are skipped. Within each
   /// key, row ids keep their order in `rows` (the executor's output order

@@ -13,7 +13,7 @@ const std::unordered_set<std::string>& Keywords() {
   static const std::unordered_set<std::string> kKeywords = {
       "SELECT", "DISTINCT", "FROM", "WHERE",  "AND",   "GROUP",     "BY",
       "HAVING", "COUNT",    "AS",   "BETWEEN", "IN",    "INTERSECT", "OR",
-      "NOT",    "NULL",     "LIKE", "ORDER",   "LIMIT",
+      "NOT",    "NULL",     "LIKE", "ORDER",   "LIMIT", "NAN",
   };
   return kKeywords;
 }

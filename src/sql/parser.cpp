@@ -202,6 +202,11 @@ class Parser {
           Advance();
           return Value::Null();
         }
+        if (t.text == "NAN") {
+          return Error(
+              "NaN has no SQL literal; a NaN constant cannot be written in a "
+              "query");
+        }
         [[fallthrough]];
       default:
         return Error("expected literal");

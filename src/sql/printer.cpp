@@ -7,7 +7,9 @@ namespace squid {
 namespace {
 
 std::string HavingValueString(double v) {
-  if (v == std::floor(v)) return std::to_string(static_cast<int64_t>(v));
+  if (std::isfinite(v) && v == std::floor(v) && std::fabs(v) < 9.2e18) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
   return Value(v).ToSqlLiteral();
 }
 

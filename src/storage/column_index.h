@@ -3,17 +3,17 @@
 
 /// \file column_index.h
 /// \brief Sorted (B-tree-style) and hash indexes over single columns. The
-/// executor uses them for sargable point/range predicates and for FK joins;
-/// the αDB uses them for entity-keyed lookups into derived relations (the
-/// "point queries ... using B-tree indexes" of §7.2).
+/// αDB uses the hash index for entity-keyed lookups into derived relations
+/// (the "point queries ... using B-tree indexes" of §7.2), for primary-key
+/// lookups, and for every hop of derived-relation materialization.
 
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "storage/cell_key.h"
 #include "storage/table.h"
 
 namespace squid {
@@ -45,33 +45,57 @@ class SortedColumnIndex {
   size_t num_rows_ = 0;
 };
 
-/// \brief Hash index: value -> row ids, for equality-only probes (joins and
-/// the αDB's per-entity point queries).
+/// \brief Hash index: value -> row ids, for equality-only probes (the αDB's
+/// per-entity point queries, its PK lookups, and the derived-relation
+/// materializer's hops).
 ///
-/// Keys are packed to 64-bit integers instead of hashing Values: string
-/// cells key by their dictionary Symbol (probes resolve through the pool
-/// without copying), numeric cells by their bit pattern (int64 columns
-/// exactly; double columns via the double image, preserving Value's
-/// cross-type 1 == 1.0 equality for mixed probes).
+/// Flat layout, built in two passes over the column. Cells pack to 64-bit
+/// keys (storage/cell_key.h: dictionary symbols for strings, exact bits for
+/// int64, PackedDoubleBits for doubles). Pass 1 maps each key to a dense
+/// slot through an open-addressing table and counts rows per slot; pass 2
+/// prefix-sums the counts and scatters row ids into one contiguous array,
+/// in ascending row order. The final table holds 16-byte `{key, begin,
+/// count}` buckets at <= 50% load with each key's span of the row-id array
+/// embedded (the per-slot offsets folded into the bucket), so a hit is one
+/// bucket read plus one contiguous span — no per-key heap vector.
+///
+/// Lookups return a RowSpan of ascending row ids (empty on a miss; nulls
+/// are never indexed). Value probes of the other numeric type convert the
+/// way Value equality does (1 == 1.0; 2.5 matches no int64 key), and so do
+/// packed probes through PackProbe — one conversion for both paths.
 class HashColumnIndex {
  public:
   static Result<HashColumnIndex> Build(const Table& table, const std::string& attr);
 
-  /// Row ids with exactly this value (nullptr when absent).
-  const std::vector<size_t>* Lookup(const Value& v) const;
+  /// Row ids with exactly this value (empty when absent).
+  RowSpan Lookup(const Value& v) const;
 
-  /// Symbol-probe fast path (string-keyed indexes only; `s` must be a
-  /// symbol of the indexed column's pool).
-  const std::vector<size_t>* LookupSymbol(Symbol s) const;
+  /// Packs cell `row` of `probe` into this index's key space (the same
+  /// conversion Lookup applies to a Value). False when the cell is null or
+  /// can match no key, so hot loops probe without materializing Values.
+  bool PackProbe(const Column& probe, size_t row, uint64_t* key) const {
+    return PackProbeKey(key_type_, pool_.get(), probe, row, key);
+  }
 
-  size_t NumDistinct() const { return entries_.size(); }
+  /// Row ids whose cell packs to `key` (empty when absent).
+  RowSpan LookupPacked(uint64_t key) const;
+
+  size_t NumDistinct() const { return num_keys_; }
 
  private:
-  const std::vector<size_t>* LookupKey(uint64_t key) const;
+  struct alignas(16) Bucket {
+    uint64_t key = 0;
+    uint32_t begin = 0;  // span start in rows_ (the slot id while building)
+    uint32_t count = 0;  // 0 marks an empty bucket
+  };
+  static_assert(sizeof(Bucket) == 16, "bucket layout audited at 16 bytes");
 
   ValueType key_type_ = ValueType::kNull;
   std::shared_ptr<const StringPool> pool_;  // keeps symbol keys resolvable
-  std::unordered_map<uint64_t, std::vector<size_t>> entries_;
+  std::vector<Bucket> buckets_;             // power-of-two, <= 50% load
+  uint64_t mask_ = 0;
+  std::vector<uint32_t> rows_;
+  size_t num_keys_ = 0;
 };
 
 }  // namespace squid

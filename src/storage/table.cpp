@@ -74,6 +74,40 @@ void Column::AppendNull() {
   valid_.push_back(0);
 }
 
+Status Column::AppendCell(const Column& src, size_t row) {
+  if (src.IsNull(row)) {
+    AppendNull();
+    return Status::OK();
+  }
+  switch (src.type()) {
+    case ValueType::kInt64:
+      if (type_ == ValueType::kInt64 || type_ == ValueType::kDouble) {
+        AppendInt64(src.Int64At(row));
+        return Status::OK();
+      }
+      break;
+    case ValueType::kDouble:
+      if (type_ == ValueType::kDouble) {
+        AppendDouble(src.DoubleAt(row));
+        return Status::OK();
+      }
+      break;
+    case ValueType::kString:
+      if (type_ != ValueType::kString) break;
+      if (src.pool() == pool_) {
+        syms_.push_back(src.SymbolAt(row));
+        valid_.push_back(1);
+      } else {
+        AppendString(src.StringAt(row));
+      }
+      return Status::OK();
+    case ValueType::kNull:
+      break;
+  }
+  return Status::InvalidArgument("expected " + std::string(ValueTypeName(type_)) +
+                                 ", got " + ValueTypeName(src.type()));
+}
+
 Value Column::ValueAt(size_t row) const {
   if (!valid_[row]) return Value::Null();
   switch (type_) {
@@ -175,6 +209,18 @@ Status Table::AppendRow(const std::vector<Value>& row) {
     SQUID_RETURN_NOT_OK(columns_[i]->Append(row[i]));
   }
   ++num_rows_;
+  return Status::OK();
+}
+
+Status Table::CommitAppendedRows(size_t n) {
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (columns_[i]->size() != num_rows_ + n) {
+      return Status::Internal("table '" + name() + "': column " + std::to_string(i) +
+                              " holds " + std::to_string(columns_[i]->size()) +
+                              " cells, expected " + std::to_string(num_rows_ + n));
+    }
+  }
+  num_rows_ += n;
   return Status::OK();
 }
 

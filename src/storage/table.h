@@ -41,6 +41,12 @@ class Column {
   void AppendString(std::string_view v);
   void AppendNull();
 
+  /// Appends a copy of cell `row` of `src` without materializing a Value:
+  /// same type rules as Append (int64 widens into a double column), and a
+  /// string from a column of the same pool is appended by symbol, so the
+  /// copy never interns. Type mismatches are an error.
+  Status AppendCell(const Column& src, size_t row);
+
   bool IsNull(size_t row) const { return !valid_[row]; }
   int64_t Int64At(size_t row) const { return ints_[row]; }
   double DoubleAt(size_t row) const { return doubles_[row]; }
@@ -117,6 +123,11 @@ class Table {
 
   /// Appends a full row; the row must have one value per attribute.
   Status AppendRow(const std::vector<Value>& row);
+
+  /// Publishes `n` rows appended cell by cell through mutable_column()
+  /// (typed appends). Fails unless every column then holds num_rows() + n
+  /// cells.
+  Status CommitAppendedRows(size_t n);
 
   /// Materializes row `row` as values.
   std::vector<Value> RowValues(size_t row) const;

@@ -64,11 +64,17 @@ std::string Value::ToString() const {
 
 std::string Value::ToSqlLiteral() const {
   if (type() == ValueType::kDouble) {
+    const double d = AsDouble();
+    // ±inf has no digits of its own: 1e999 overflows to exactly +inf when
+    // parsed. NaN has no literal at all; its keyword makes the parser fail
+    // loudly instead of reading an identifier ("nan") as a column.
+    if (std::isinf(d)) return d > 0 ? "1e999" : "-1e999";
+    if (std::isnan(d)) return "NAN";
     // Shortest text that parses back to the same double (ToString's %g
     // keeps six digits, which moves range bounds). An integral value keeps
     // a ".0" so it parses back as a double, not an int64.
     char buf[32];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), AsDouble());
+    const auto res = std::to_chars(buf, buf + sizeof(buf), d);
     std::string out(buf, res.ptr);
     if (out.find_first_of(".en") == std::string::npos) out += ".0";
     return out;

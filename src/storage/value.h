@@ -50,7 +50,10 @@ class Value {
   std::string ToString() const;
 
   /// SQL literal rendering (strings quoted with '' escaping; doubles in the
-  /// shortest form that parses back to the same value).
+  /// shortest form that parses back to the same value). ±inf render as
+  /// `1e999` / `-1e999`, which parse back to exactly ±inf; NaN renders as
+  /// the keyword `NAN`, which the SQL parser rejects, since no literal can
+  /// carry it.
   std::string ToSqlLiteral() const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }

@@ -254,6 +254,13 @@ TEST_P(SnapshotRoundTripTest, SaveLoadIsIdenticalDownToSymbols) {
   EXPECT_GT(restored.base_bytes, 0u);
   EXPECT_EQ(restored.build_seconds, 0.0);
   EXPECT_EQ(restored.threads_used, 1u);
+  // Per-step build times are volatile too: measured by Build, never
+  // serialized (the snapshot bytes cannot depend on them).
+  EXPECT_GT(fresh.derived_seconds, 0.0);
+  EXPECT_GT(fresh.index_seconds, 0.0);
+  EXPECT_EQ(restored.derived_seconds, 0.0);
+  EXPECT_EQ(restored.stats_seconds, 0.0);
+  EXPECT_EQ(restored.index_seconds, 0.0);
 
   // save(load(save(x))) == save(x): re-serializing the loaded αDB
   // reproduces the file byte for byte.

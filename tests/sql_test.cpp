@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "sql/ast.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -67,6 +69,57 @@ TEST(ParserTest, DoubleConstantsRoundTripExactly) {
   EXPECT_EQ(w[0].hi.type(), ValueType::kDouble);
   EXPECT_EQ(w[0].hi.AsDouble(), 7.0);
   EXPECT_EQ(w[1].value.AsDouble(), 2.5e-07);
+}
+
+TEST(ParserTest, InfiniteConstantsRoundTripExactly) {
+  // ±inf print as 1e999 / -1e999, which overflow back to exactly ±inf; the
+  // old rendering `inf` re-parsed `m.rating = inf` as the join m.rating =
+  // m.inf.
+  const double inf = std::numeric_limits<double>::infinity();
+  auto q = ParseSelect("SELECT m.title FROM movie m");
+  ASSERT_TRUE(q.ok());
+  const ColumnRef rating{"m", "rating"};
+  q.value().where.push_back(Predicate::Compare(rating, CompareOp::kEq, Value(inf)));
+  q.value().where.push_back(Predicate::Compare(rating, CompareOp::kLt, Value(-inf)));
+  q.value().where.push_back(Predicate::Between(rating, Value(-inf), Value(inf)));
+  q.value().where.push_back(Predicate::InList(rating, {Value(inf), Value(1.5)}));
+  const std::string sql = ToSql(q.value());
+  EXPECT_EQ(sql.find("inf"), std::string::npos) << sql;
+  auto again = ParseSelect(sql);
+  ASSERT_TRUE(again.ok()) << sql << ": " << again.status().ToString();
+  EXPECT_TRUE(again.value().join_predicates.empty()) << sql;
+  const auto& w = again.value().where;
+  ASSERT_EQ(w.size(), 4u) << sql;
+  EXPECT_EQ(w[0].value.AsDouble(), inf);
+  EXPECT_EQ(w[1].value.AsDouble(), -inf);
+  EXPECT_EQ(w[2].lo.AsDouble(), -inf);
+  EXPECT_EQ(w[2].hi.AsDouble(), inf);
+  EXPECT_EQ(w[3].in_list[0].AsDouble(), inf);
+  EXPECT_EQ(ToSql(again.value()), sql);
+}
+
+TEST(ParserTest, NanConstantIsAnExplicitError) {
+  // NaN has no literal: it prints as the keyword NAN, which the parser
+  // rejects instead of reading `nan` as a column (a silent join).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(Value(nan).ToSqlLiteral(), "NAN");
+  for (const Predicate& p :
+       {Predicate::Compare(ColumnRef{"m", "rating"}, CompareOp::kEq, Value(nan)),
+        Predicate::Between(ColumnRef{"m", "rating"}, Value(nan), Value(1.0)),
+        Predicate::InList(ColumnRef{"m", "rating"}, {Value(2.0), Value(nan)})}) {
+    auto q = ParseSelect("SELECT m.title FROM movie m");
+    ASSERT_TRUE(q.ok());
+    q.value().where.push_back(p);
+    const std::string sql = ToSql(q.value());
+    auto again = ParseSelect(sql);
+    ASSERT_FALSE(again.ok()) << sql;
+    EXPECT_NE(again.status().ToString().find("NaN"), std::string::npos)
+        << again.status().ToString();
+  }
+  // The keyword still names an attribute after `alias.`.
+  auto col = ParseSelect("SELECT m.nan FROM movie m WHERE m.nan = 1");
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  EXPECT_EQ(col.value().select_list[0].column.attribute, "nan");
 }
 
 TEST(LexerTest, TwoCharOperators) {

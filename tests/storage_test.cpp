@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <set>
 #include <tuple>
 
@@ -71,6 +73,8 @@ TEST(ValueTest, SqlLiteralDoublesRoundTrip) {
   EXPECT_EQ(Value(-0.0).ToSqlLiteral(), "-0.0");
   EXPECT_EQ(Value(1e20).ToSqlLiteral(), "1e+20");
   EXPECT_EQ(Value(2.5e-7).ToSqlLiteral(), "2.5e-07");
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).ToSqlLiteral(), "1e999");
+  EXPECT_EQ(Value(-std::numeric_limits<double>::infinity()).ToSqlLiteral(), "-1e999");
 }
 
 TEST(ValueTest, ToNumeric) {
@@ -243,10 +247,95 @@ TEST(HashIndexTest, LookupPostings) {
   const Table* cast = db->GetTable("castinfo").value();
   auto index = HashColumnIndex::Build(*cast, "person_id");
   ASSERT_TRUE(index.ok());
-  const auto* rows = index.value().Lookup(Value(static_cast<int64_t>(2)));
-  ASSERT_NE(rows, nullptr);
-  EXPECT_EQ(rows->size(), 4u);  // Ewan appears in 4 movies
-  EXPECT_EQ(index.value().Lookup(Value(static_cast<int64_t>(42))), nullptr);
+  const RowSpan rows = index.value().Lookup(Value(static_cast<int64_t>(2)));
+  EXPECT_EQ(rows.size, 4u);  // Ewan appears in 4 movies
+  EXPECT_TRUE(index.value().Lookup(Value(static_cast<int64_t>(42))).empty());
+}
+
+TEST(HashIndexTest, SpansMatchPerKeyRowLists) {
+  // The flat index must hand back, for every key, exactly the ascending row
+  // list a map of per-key vectors would hold — across string, int64 and
+  // double columns with nulls, repeats, and -0.0 next to 0.0.
+  Database db("spans");
+  Table* t = db.CreateTable(Schema("t", {{"s", ValueType::kString},
+                                         {"i", ValueType::kInt64},
+                                         {"d", ValueType::kDouble}}))
+                 .value();
+  for (int64_t r = 0; r < 5000; ++r) {
+    const int64_t k = (r * 7919) % 613;  // repeats, scattered over the rows
+    const bool null = r % 11 == 0;
+    const double d = k == 0 ? (r % 2 == 0 ? -0.0 : 0.0) : static_cast<double>(k) / 4;
+    ASSERT_TRUE(t->AppendRow({null ? Value::Null() : Value("v" + std::to_string(k)),
+                              null ? Value::Null() : Value(k - 300),
+                              null ? Value::Null() : Value(d)})
+                    .ok());
+  }
+  for (const char* attr : {"s", "i", "d"}) {
+    auto index = HashColumnIndex::Build(*t, attr);
+    ASSERT_TRUE(index.ok());
+    const Column* col = t->ColumnByName(attr).value();
+    std::map<uint64_t, std::vector<uint32_t>> expected;
+    for (uint32_t r = 0; r < t->num_rows(); ++r) {
+      uint64_t key = 0;
+      if (PackCellKey(*col, r, &key)) expected[key].push_back(r);
+    }
+    EXPECT_EQ(index.value().NumDistinct(), expected.size()) << attr;
+    for (const auto& [key, want] : expected) {
+      const RowSpan packed = index.value().LookupPacked(key);
+      EXPECT_EQ(std::vector<uint32_t>(packed.begin(), packed.end()), want) << attr;
+      const RowSpan by_value = index.value().Lookup(col->ValueAt(want[0]));
+      EXPECT_EQ(std::vector<uint32_t>(by_value.begin(), by_value.end()), want) << attr;
+    }
+    EXPECT_TRUE(index.value().Lookup(Value::Null()).empty()) << attr;
+  }
+}
+
+TEST(HashIndexTest, CrossTypeProbesFollowValueEquality) {
+  Database db("cross");
+  Table* t = db.CreateTable(Schema("t", {{"i", ValueType::kInt64},
+                                         {"d", ValueType::kDouble},
+                                         {"s", ValueType::kString}}))
+                 .value();
+  ASSERT_TRUE(t->AppendRow({Value(int64_t{2}), Value(2.0), Value("x")}).ok());
+  ASSERT_TRUE(t->AppendRow({Value(int64_t{0}), Value(-0.0), Value("y")}).ok());
+  ASSERT_TRUE(t->AppendRow({Value(int64_t{2}), Value(2.5), Value("x")}).ok());
+  auto by_int = HashColumnIndex::Build(*t, "i").value();
+  auto by_double = HashColumnIndex::Build(*t, "d").value();
+  auto by_string = HashColumnIndex::Build(*t, "s").value();
+  auto rows = [](RowSpan span) {
+    return std::vector<uint32_t>(span.begin(), span.end());
+  };
+
+  // Value probes: 2.0 finds int64 2, 2.5 finds nothing, 0.0 finds -0.0.
+  EXPECT_EQ(rows(by_int.Lookup(Value(2.0))), (std::vector<uint32_t>{0, 2}));
+  EXPECT_TRUE(by_int.Lookup(Value(2.5)).empty());
+  EXPECT_TRUE(by_int.Lookup(Value(1e300)).empty());
+  EXPECT_EQ(rows(by_double.Lookup(Value(int64_t{2}))), (std::vector<uint32_t>{0}));
+  EXPECT_EQ(rows(by_double.Lookup(Value(0.0))), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(rows(by_double.Lookup(Value(int64_t{0}))), (std::vector<uint32_t>{1}));
+  EXPECT_TRUE(by_string.Lookup(Value(int64_t{2})).empty());
+  EXPECT_TRUE(by_int.Lookup(Value("x")).empty());
+  EXPECT_TRUE(by_string.Lookup(Value("absent")).empty());
+  EXPECT_EQ(rows(by_string.Lookup(Value("x"))), (std::vector<uint32_t>{0, 2}));
+
+  // Packed probes from a column of either numeric type agree with the Value
+  // probe of the same cell, and a type mismatch packs to nothing.
+  const Column* i = t->ColumnByName("i").value();
+  const Column* d = t->ColumnByName("d").value();
+  const Column* s = t->ColumnByName("s").value();
+  for (const HashColumnIndex* index : {&by_int, &by_double}) {
+    for (const Column* probe : {i, d}) {
+      for (uint32_t r = 0; r < t->num_rows(); ++r) {
+        uint64_t key = 0;
+        const bool packed = index->PackProbe(*probe, r, &key);
+        const std::vector<uint32_t> want = rows(index->Lookup(probe->ValueAt(r)));
+        EXPECT_EQ(packed ? rows(index->LookupPacked(key)) : std::vector<uint32_t>{},
+                  want);
+      }
+    }
+    uint64_t key = 0;
+    EXPECT_FALSE(index->PackProbe(*s, 0, &key));
+  }
 }
 
 // ---------- Inverted index ----------
